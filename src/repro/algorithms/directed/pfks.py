@@ -51,7 +51,7 @@ def pfks_dds(
     rounds = n if max_rounds is None else min(n, max_rounds)
     # n geometric ratio candidates covering [1/n, n].
     exponents = np.linspace(-1.0, 1.0, num=max(rounds, 2))
-    ratios = np.unique(np.power(float(n), exponents))
+    ratios = np.unique(np.power(float(n), exponents))  # repro-lint: disable=R016 (float ratios; the sort-based helper is integer-only)
     best = (-1.0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     peels = 0
     for ratio in ratios:

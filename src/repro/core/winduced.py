@@ -30,6 +30,7 @@ from ..errors import EmptyGraphError
 from ..graph.directed import DirectedGraph
 from ..kernels.segments import concat_ranges
 from ..runtime.simruntime import SimRuntime
+from ..store.csr import sorted_unique
 
 __all__ = [
     "edge_weights",
@@ -71,15 +72,20 @@ def _touched_alive_edges(
     """Alive edges whose weight may have changed after removing edges
     incident to ``touched_src`` (out-degree dropped) or ``touched_dst``
     (in-degree dropped): the alive out-edges of touched sources plus the
-    alive in-edges of touched destinations."""
+    alive in-edges of touched destinations, as sorted edge ids.
+
+    A mark array over the edge ids dedups and sorts in one O(m) pass; a
+    cascade runs few rounds, so that scan costs less than sorting the
+    duplicate-heavy candidate list."""
     out_starts = graph.out_indptr[touched_src]
     out_slots = concat_ranges(out_starts, graph.out_indptr[touched_src + 1] - out_starts)
     in_starts = graph.in_indptr[touched_dst]
     in_slots = concat_ranges(in_starts, graph.in_indptr[touched_dst + 1] - in_starts)
-    candidates = np.unique(
-        np.concatenate([graph.out_edge_ids[out_slots], graph.in_edge_ids[in_slots]])
-    )
-    return candidates[alive[candidates]]
+    mark = np.zeros(graph.num_edges, dtype=bool)
+    mark[graph.out_edge_ids[out_slots]] = True
+    mark[graph.in_edge_ids[in_slots]] = True
+    mark &= alive
+    return np.flatnonzero(mark)
 
 
 def _cascade(
@@ -129,11 +135,13 @@ def _cascade(
         dead_ids = cand_ids[bad]
         alive[dead_ids] = False
         remaining -= int(dead_ids.size)
-        np.subtract.at(dout, src[dead_ids], 1)
-        np.subtract.at(din, dst[dead_ids], 1)
+        # One bincount per round: the counts np.subtract.at would scatter,
+        # without ufunc.at's per-element dispatch.
+        dout -= np.bincount(src[dead_ids], minlength=dout.size)
+        din -= np.bincount(dst[dead_ids], minlength=din.size)
         if frontier:
             candidates = _touched_alive_edges(
-                graph, alive, np.unique(src[dead_ids]), np.unique(dst[dead_ids])
+                graph, alive, sorted_unique(src[dead_ids]), sorted_unique(dst[dead_ids])
             )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..store.compact import index_dtype
-from ..store.csr import counting_sort_csr
+from ..store.csr import counting_sort_csr, sorted_unique, unique_edge_rows
 from ..store.fingerprint import fingerprint_arrays
 
 __all__ = ["DirectedGraph"]
@@ -111,7 +111,7 @@ class DirectedGraph:
                     f"edge endpoint out of range for a graph with {num_vertices} vertices"
                 )
             edge_array = edge_array[edge_array[:, 0] != edge_array[:, 1]]
-            edge_array = np.unique(edge_array, axis=0)
+            edge_array = unique_edge_rows(edge_array[:, 0], edge_array[:, 1], num_vertices)
         return cls(num_vertices, edge_array[:, 0], edge_array[:, 1])
 
     @classmethod
@@ -274,7 +274,7 @@ class DirectedGraph:
         self, vertices: Iterable[int] | np.ndarray
     ) -> tuple["DirectedGraph", np.ndarray]:
         """Return ``(subgraph, original_ids)`` induced by ``vertices``."""
-        keep = np.unique(
+        keep = sorted_unique(
             np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.int64)
         )
         if keep.size and (keep[0] < 0 or keep[-1] >= self.num_vertices):

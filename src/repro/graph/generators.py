@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphError
+from ..store.csr import unique_edge_rows
 from .directed import DirectedGraph
 from .undirected import UndirectedGraph
 
@@ -71,11 +72,10 @@ def gnm_random_undirected(
     draw = min(int(m * 1.3) + 16, n * (n - 1) // 2 * 4)
     u = rng.integers(0, n, size=draw)
     v = rng.integers(0, n, size=draw)
-    edges = np.stack([u, v], axis=1)
-    edges = edges[u != v]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    simple = u != v
+    lo = np.minimum(u[simple], v[simple])
+    hi = np.maximum(u[simple], v[simple])
+    uniq = unique_edge_rows(lo, hi, n)
     return UndirectedGraph.from_edges(n, uniq[:m])
 
 
@@ -91,8 +91,8 @@ def gnm_random_directed(
     draw = min(int(m * 1.3) + 16, n * (n - 1) * 2)
     u = rng.integers(0, n, size=draw)
     v = rng.integers(0, n, size=draw)
-    edges = np.stack([u, v], axis=1)
-    edges = np.unique(edges[u != v], axis=0)
+    simple = u != v
+    edges = unique_edge_rows(u[simple], v[simple], n)
     rng.shuffle(edges, axis=0)
     return DirectedGraph.from_edges(n, edges[:m])
 
@@ -118,11 +118,10 @@ def chung_lu_undirected(
     draw = int(target_edges * 1.35) + 16
     u = rng.choice(n, size=draw, p=prob)
     v = rng.choice(n, size=draw, p=prob)
-    edges = np.stack([u, v], axis=1)
-    edges = edges[u != v]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    simple = u != v
+    lo = np.minimum(u[simple], v[simple])
+    hi = np.maximum(u[simple], v[simple])
+    uniq = unique_edge_rows(lo, hi, n)
     rng.shuffle(uniq, axis=0)
     return UndirectedGraph.from_edges(n, uniq[:target_edges])
 
@@ -148,8 +147,8 @@ def chung_lu_directed(
     draw = int(target_edges * 1.35) + 16
     u = rng.choice(n, size=draw, p=out_w / out_w.sum())
     v = rng.choice(n, size=draw, p=in_w / in_w.sum())
-    edges = np.stack([u, v], axis=1)
-    edges = np.unique(edges[u != v], axis=0)
+    simple = u != v
+    edges = unique_edge_rows(u[simple], v[simple], n)
     rng.shuffle(edges, axis=0)
     return DirectedGraph.from_edges(n, edges[:target_edges])
 

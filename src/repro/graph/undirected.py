@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import GraphError
 from ..store.compact import index_dtype
-from ..store.csr import _COMBINED_KEY_MAX_VERTICES, csr_from_sorted_canonical
+from ..store.csr import csr_from_sorted_canonical, sorted_unique, unique_edge_rows
 from ..store.fingerprint import fingerprint_arrays
 
 __all__ = ["UndirectedGraph"]
@@ -38,16 +38,9 @@ def _normalize_edges(n: int, edges: np.ndarray) -> np.ndarray:
     u, v = u[keep], v[keep]
     if u.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if n <= _COMBINED_KEY_MAX_VERTICES:
-        # Dedup + lex sort through the single combined key u*n + v
-        # (n**2 < 2**63 by the guard) — one int64 sort instead of the
-        # structured-row comparisons of np.unique(axis=0).
-        key = np.unique(u * np.int64(n) + v)
-        canon = np.empty((key.size, 2), dtype=np.int64)
-        np.floor_divide(key, n, out=canon[:, 0])
-        np.subtract(key, canon[:, 0] * np.int64(n), out=canon[:, 1])
-        return canon
-    return np.unique(np.stack([u, v], axis=1), axis=0)
+    # Dedup + lex sort through the combined key u*n + v: one hash-free
+    # int64 sort instead of the structured-row compares of axis=0.
+    return unique_edge_rows(u, v, n)
 
 
 class UndirectedGraph:
@@ -125,7 +118,7 @@ class UndirectedGraph:
     ) -> "UndirectedGraph":
         """Build CSR from deduplicated, lex-sorted (u < v) edge rows.
 
-        Every call site hands over ``np.unique(..., axis=0)`` output or a
+        Every call site hands over ``unique_edge_rows`` output or a
         CSR-ordered ``edges()`` slice, so the O(m) counting-sort builder
         applies (``repro.store.csr``); it verifies sortedness and falls
         back to the lexsort reference otherwise.
@@ -268,15 +261,15 @@ class UndirectedGraph:
         Vertices are relabelled to ``0..k-1``; ``original_ids[i]`` maps the
         new id ``i`` back to its id in this graph.
         """
-        keep = np.unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.int64))
+        keep = sorted_unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.num_vertices):
             raise GraphError("induced vertex id out of range")
         new_id = np.full(self.num_vertices, -1, dtype=np.int64)
         new_id[keep] = np.arange(keep.size)
         heads = self.heads()
         mask = (new_id[heads] >= 0) & (new_id[self.indices] >= 0) & (heads < self.indices)
-        canon = np.stack([new_id[heads[mask]], new_id[self.indices[mask]]], axis=1)
-        sub = UndirectedGraph._from_canonical_edges(keep.size, np.unique(canon, axis=0) if canon.size else canon)
+        canon = unique_edge_rows(new_id[heads[mask]], new_id[self.indices[mask]], keep.size)
+        sub = UndirectedGraph._from_canonical_edges(keep.size, canon)
         return sub, keep
 
     def subgraph_from_edge_mask(self, edge_mask: np.ndarray) -> "UndirectedGraph":
@@ -292,7 +285,7 @@ class UndirectedGraph:
     def relabeled(self, permutation: np.ndarray) -> "UndirectedGraph":
         """Return an isomorphic graph with vertex ``v`` renamed to ``permutation[v]``."""
         perm = np.asarray(permutation, dtype=np.int64)
-        if perm.size != self.num_vertices or np.unique(perm).size != perm.size:
+        if perm.size != self.num_vertices or sorted_unique(perm).size != perm.size:
             raise GraphError("permutation must be a bijection on the vertex set")
         old = self.edges()
         return UndirectedGraph.from_edges(

@@ -142,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"coalesced={report.coalesced:<3d} "
                     f"cache_hit={report.cache_hit}"
                 )
+            elif response.status == "error":
+                print(f"{head} ERROR   reason={response.reason}")
             else:
                 print(
                     f"{head} SHED    reason={response.reason} "
@@ -151,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     cache = server.cache_stats()
     print(
         f"served {stats['completed']}/{stats['submitted']} "
+        f"errored={stats['errored']} "
         f"(rejected: queue_full={stats['rejected_queue_full']} "
         f"quota={stats['rejected_quota']}) | solver_runs={stats['solver_runs']} "
         f"cache_hits={stats['cache_hits']} coalesced={stats['coalesced_queries']} "

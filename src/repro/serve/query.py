@@ -48,14 +48,17 @@ class Query:
 class Response:
     """Outcome of one submitted query.
 
-    ``status`` is ``"ok"`` or ``"rejected"``.  For ``"ok"``, ``result``
-    is the engine result (bit-identical to a direct ``engine.run`` of
-    the same query) and the serve statistics are mirrored both here and
-    in ``result.report``; ``worker_id`` is the simulated worker the
-    query's batch was scheduled on.  For ``"rejected"``, ``result`` is
-    None and ``reason``/``retry_after_s`` carry the admission-control
-    verdict (see :class:`~repro.errors.ServeRejected`); the serve
-    statistics stay at their zero defaults.  ``latency_s`` is wall-clock
+    ``status`` is ``"ok"``, ``"rejected"`` or ``"error"``.  For
+    ``"ok"``, ``result`` is the engine result (bit-identical to a direct
+    ``engine.run`` of the same query) and the serve statistics are
+    mirrored both here and in ``result.report``; ``worker_id`` is the
+    simulated worker the query's batch was scheduled on.  For
+    ``"rejected"``, ``result`` is None and ``reason``/``retry_after_s``
+    carry the admission-control verdict (see
+    :class:`~repro.errors.ServeRejected`); the serve statistics stay at
+    their zero defaults.  For ``"error"``, the query's flight raised:
+    ``result`` is None, ``reason`` names the exception, and the serve
+    statistics describe the failed flight.  ``latency_s`` is wall-clock
     submit-to-completion time under the server's clock (0.0 for
     rejections, which never enter the queue).
     """

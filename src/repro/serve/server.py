@@ -53,7 +53,9 @@ class ServerStats:
     ``cache_hits`` counts flights answered by the result cache;
     ``coalesced_queries`` counts queries that attached to another
     query's flight (followers only, so ``completed = solver_runs +
-    cache_hits + coalesced_queries``). ``peak_queue_depth`` is the
+    cache_hits + coalesced_queries``). ``errored`` counts queries whose
+    flight raised; every accepted query ends up in exactly one of
+    ``completed`` or ``errored`` once drained. ``peak_queue_depth`` is the
     admission queue's observed high-water mark — bounded by
     ``max_queue_depth`` by construction, which is the "no unbounded
     queue growth" guarantee the overload bench asserts.
@@ -62,6 +64,7 @@ class ServerStats:
     submitted: int = 0
     accepted: int = 0
     completed: int = 0
+    errored: int = 0
     rejected_queue_full: int = 0
     rejected_quota: int = 0
     solver_runs: int = 0
@@ -77,6 +80,7 @@ class ServerStats:
             "submitted": self.submitted,
             "accepted": self.accepted,
             "completed": self.completed,
+            "errored": self.errored,
             "rejected_queue_full": self.rejected_queue_full,
             "rejected_quota": self.rejected_quota,
             "solver_runs": self.solver_runs,
@@ -303,6 +307,10 @@ class DsdServer:
         itself answer from the TTL cache), follower responses as
         independent clones.  Every response's report carries its own
         ``queue_wait_s`` and the flight's ``batch_size``/``coalesced``.
+
+        A flight whose computation raises answers its own members with
+        ``status="error"`` responses (``reason`` names the exception);
+        every other flight of the cycle still runs and answers.
         """
         pending = list(self._queue)
         self._queue.clear()
@@ -323,28 +331,38 @@ class DsdServer:
             self._prewarm(batch_flights[0][0].graph)
             self.stats.batches += 1
             for members in batch_flights:
-                leader = members[0]
                 started = self._clock()
-                result = self._run_flight(leader)
-                finished = self._clock()
                 self.stats.flights += 1
-                self.stats.coalesced_queries += len(members) - 1
+                result, reason = None, None
+                try:
+                    result = self._run_flight(members[0])
+                except Exception as exc:  # repro-lint: disable=R002 (fault boundary: fails this flight only)
+                    reason = f"{type(exc).__name__}: {exc}"
+                finished = self._clock()
+                if reason is None:
+                    self.stats.completed += len(members)
+                    self.stats.coalesced_queries += len(members) - 1
+                else:
+                    self.stats.errored += len(members)
                 for index, item in enumerate(members):
-                    answer = result if index == 0 else clone_result(result)
                     queue_wait = max(0.0, started - item.enqueued_at)
-                    attach_serve_stats(
-                        answer,
-                        queue_wait_s=queue_wait,
-                        batch_size=batch_size,
-                        coalesced=len(members),
-                    )
+                    answer = None
+                    if reason is None:
+                        answer = result if index == 0 else clone_result(result)
+                        attach_serve_stats(
+                            answer,
+                            queue_wait_s=queue_wait,
+                            batch_size=batch_size,
+                            coalesced=len(members),
+                        )
                     ordered.append(
                         (
                             item.seq,
                             Response(
                                 query=item.query,
-                                status="ok",
+                                status="ok" if reason is None else "error",
                                 result=answer,
+                                reason=reason,
                                 worker_id=worker_id,
                                 queue_wait_s=queue_wait,
                                 batch_size=batch_size,
@@ -353,7 +371,6 @@ class DsdServer:
                             ),
                         )
                     )
-                    self.stats.completed += 1
 
         ordered.sort(key=lambda pair: pair[0])
         return [response for _, response in ordered]

@@ -5,7 +5,8 @@
 * :mod:`repro.store.compact` — dtype-aware index compaction (int32
   narrowing when ``n, m < 2**31``, with a forced-int64 escape hatch);
 * :mod:`repro.store.csr` — O(m) counting-sort CSR builders replacing the
-  old O(m log m) ``np.lexsort`` construction;
+  old O(m log m) ``np.lexsort`` construction, and the hash-free integer
+  dedup (``sorted_unique`` / ``unique_edge_rows``) in front of them;
 * :mod:`repro.store.fingerprint` — stable content fingerprints of CSR
   buffers, the key of the result-memoization cache;
 * :mod:`repro.store.reader` — vectorized edge-list text ingestion (the
@@ -38,6 +39,8 @@ from .csr import (
     counting_sort_csr,
     csr_from_sorted_canonical,
     reference_csr_from_canonical,
+    sorted_unique,
+    unique_edge_rows,
 )
 from .fingerprint import fingerprint_arrays
 
@@ -50,6 +53,8 @@ __all__ = [
     "counting_sort_csr",
     "csr_from_sorted_canonical",
     "reference_csr_from_canonical",
+    "sorted_unique",
+    "unique_edge_rows",
     "fingerprint_arrays",
     "read_edges_vectorized",
     "save_snapshot",

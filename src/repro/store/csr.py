@@ -6,7 +6,7 @@ counting-sort based:
 
 * :func:`csr_from_sorted_canonical` (undirected) exploits that every
   call site already holds the canonical edge list lex-sorted (it is the
-  output of ``np.unique(..., axis=0)`` or a CSR-ordered ``edges()``
+  output of :func:`unique_edge_rows` or a CSR-ordered ``edges()``
   view): out-arc slots follow from pure arithmetic on the sorted rows,
   and in-arcs need only one single-key stable ``argsort`` — NumPy's
   radix sort for integer keys, O(m).
@@ -17,6 +17,18 @@ counting-sort based:
 Both produce ``indptr``/``indices`` bit-identical to the lexsort
 reference (kept as :func:`reference_csr_from_canonical` and pinned by
 the equivalence suite in ``tests/store/test_csr_equivalence.py``).
+
+The dedup step in front of them is hash-free as well:
+
+* :func:`sorted_unique` is ``np.unique`` for integer arrays by sort plus
+  an adjacent-difference mask. Under NumPy >= 2.3 a bare ``np.unique``
+  takes a hash-table path that is ~19x slower than sorting on int64
+  (measurements in ``docs/performance.md``); lint rule R016 keeps it
+  out of ``src/repro``.
+* :func:`unique_edge_rows` is ``np.unique(rows, axis=0)`` for vertex-id
+  pairs through the combined key ``u * n + v`` (one int64 sort instead
+  of structured-row compares), with the ``axis=0`` path kept only
+  above ``_COMBINED_KEY_MAX_VERTICES``.
 """
 
 from __future__ import annotations
@@ -26,6 +38,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "sorted_unique",
+    "unique_edge_rows",
     "csr_from_sorted_canonical",
     "counting_sort_csr",
     "reference_csr_from_canonical",
@@ -34,6 +48,53 @@ __all__ = [
 # Combined-key sorting needs heads * n + tails to fit in int64:
 # n * n < 2**63  =>  n <= isqrt(2**63 - 1).
 _COMBINED_KEY_MAX_VERTICES = 3_037_000_499
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, like ``np.unique``.
+
+    Sort plus an adjacent-difference mask, never NumPy's hash-table
+    path; the result (values and dtype) equals ``np.unique(values)``.
+    Multi-dimensional input is flattened, as ``np.unique`` does.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        raise TypeError(f"sorted_unique needs an integer array, got {values.dtype}")
+    flat = np.sort(values.ravel())
+    if flat.size < 2:
+        return flat
+    keep = np.empty(flat.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
+def unique_edge_rows(
+    heads: np.ndarray, tails: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """Distinct ``(head, tail)`` rows in lexicographic order, as int64.
+
+    Equal to ``np.unique(np.stack([heads, tails], axis=1), axis=0)`` for
+    endpoints in ``0..num_vertices-1``: the combined key
+    ``head * n + tail`` orders rows lexicographically, so one integer
+    dedup replaces the structured row sort.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    tails = np.asarray(tails, dtype=np.int64)
+    if heads.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if num_vertices > _COMBINED_KEY_MAX_VERTICES:
+        # n * n overflows int64, so there is no combined key to sort.
+        rows = np.stack([heads, tails], axis=1)
+        return np.unique(rows, axis=0)  # repro-lint: disable=R016 (keys overflow int64)
+    n = np.int64(num_vertices)
+    key = heads * n
+    key += tails
+    key = sorted_unique(key)
+    out = np.empty((key.size, 2), dtype=np.int64)
+    np.floor_divide(key, n, out=out[:, 0])
+    np.subtract(key, out[:, 0] * n, out=out[:, 1])
+    return out
 
 
 def _sort_key_dtype(max_value: int) -> np.dtype:

@@ -37,6 +37,9 @@ RULE_FIXTURES = [
     # R015 exempts repro/core and repro/stream, so the fixture plants
     # its violations under a repro/serve/ path.
     ("R015", "repro/serve/r015_stream_mutation.py"),
+    # R016 covers the repro package only, so the fixture plants its
+    # violations under a repro/graph/ path.
+    ("R016", "repro/graph/r016_hash_unique.py"),
 ]
 
 
@@ -301,3 +304,43 @@ class TestR015StreamMutation:
         # Nothing outside repro/core and repro/stream pokes the
         # maintainer's internals.
         assert LintEngine(select=["R015"]).lint_paths([SRC_ROOT]) == []
+
+
+class TestR016HashUnique:
+    """R016 covers the repro package; tests keep np.unique as their oracle."""
+
+    BARE = "import numpy as np\nkeep = np.unique(ids)\n"
+
+    def test_fires_inside_package(self):
+        for path in (
+            "src/repro/core/winduced.py",
+            "/checkout/repro/src/repro/graph/undirected.py",
+        ):
+            findings = LintEngine(select=["R016"]).lint_source(
+                self.BARE, path=path
+            )
+            assert [f.rule_id for f in findings] == ["R016"], path
+            assert "hash-table path" in findings[0].message
+
+    def test_silent_outside_package(self):
+        for path in (
+            "tests/store/test_dedup.py",
+            "/checkout/repro/tests/store/test_dedup.py",
+            "perfbench/batch_file.py",
+        ):
+            assert LintEngine(select=["R016"]).lint_source(
+                self.BARE, path=path
+            ) == [], path
+
+    def test_row_dedup_message(self):
+        source = "import numpy as np\nrows = np.unique(edges, axis=0)\n"
+        findings = LintEngine(select=["R016"]).lint_source(
+            source, path="src/repro/graph/generators.py"
+        )
+        assert len(findings) == 1
+        assert "structured-record sort" in findings[0].message
+
+    def test_live_tree_is_clean(self):
+        # Every integer dedup in src/repro is hash-free; the two calls
+        # that must keep np.unique carry a justified inline disable.
+        assert LintEngine(select=["R016"]).lint_paths([SRC_ROOT]) == []

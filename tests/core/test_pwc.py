@@ -193,3 +193,51 @@ class TestTheorem2Gap:
     def test_gap_zero_on_paper_examples(self, fig3_graph, fig4_graph):
         assert pwc(fig3_graph).extras["theorem2_gap"] == 0
         assert pwc(fig4_graph).extras["theorem2_gap"] == 0
+
+
+class TestReplicaPins:
+    """PWC's peeling trace is pinned on every directed replica.
+
+    Recorded while the cascade deduplicated candidates with ``np.unique``;
+    the mark-array / sort-based dedup must reproduce w*, the per-level
+    sizes, the round count and the charged simulated time exactly.
+    """
+
+    # abbr -> (w*, iterations, level_sizes,
+    #          simulated seconds with frontier=True, with frontier=False)
+    PINS = {
+        "AM": (1618, 5, [(1618, 1618)], 0.00015743831249999998, 0.00015795831249999998),
+        "AR": (77, 7, [(77, 77)], 0.00017732856249999998, 0.00017736699999999997),
+        "BA": (
+            238, 37,
+            [(127, 524), (204, 397), (208, 396), (210, 394),
+             (220, 380), (228, 379), (234, 345), (238, 319)],
+            0.0004590945937500002, 0.0004602470937500002,
+        ),
+        "DL": (391, 13, [(391, 391)], 0.00046729109375, 0.0004680515625),
+        "WE": (
+            560, 29, [(401, 1279), (522, 878), (560, 860)],
+            0.0007694264374999999, 0.0007722262812500001,
+        ),
+        "TW": (
+            759, 41,
+            [(662, 1877), (735, 1215), (748, 1194), (756, 1171), (759, 1150)],
+            0.0010626989062499997, 0.0010687746874999998,
+        ),
+    }
+
+    @pytest.mark.parametrize("frontier", [True, False])
+    @pytest.mark.parametrize("abbr", list(PINS))
+    def test_trace_unchanged(self, abbr, frontier):
+        from repro.datasets import load_directed
+
+        w_star, iterations, level_sizes, sim_frontier, sim_full = self.PINS[abbr]
+        result = pwc(
+            load_directed(abbr), runtime=SimRuntime(num_threads=32),
+            frontier=frontier,
+        )
+        assert result.w_star == w_star
+        assert result.iterations == iterations
+        assert result.extras["level_sizes"] == level_sizes
+        expected_sim = sim_frontier if frontier else sim_full
+        assert result.simulated_seconds == pytest.approx(expected_sim, rel=1e-12)

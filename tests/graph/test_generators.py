@@ -108,3 +108,33 @@ class TestPlanted:
         b, sb = planted_dense_subgraph(300, 900, core_size=15, seed=10)
         assert a == b
         assert np.array_equal(sa, sb)
+
+
+class TestPinnedFingerprints:
+    """Generator output is pinned bit-for-bit at fixed seeds.
+
+    The fingerprints were recorded while the generators deduplicated with
+    ``np.unique(rows, axis=0)``; the combined-key ``unique_edge_rows``
+    must yield the same lexicographic rows, so the ``rng.shuffle`` that
+    follows draws the same permutation and the graphs stay identical.
+    """
+
+    PINS = {
+        (chung_lu_undirected, 50, 120, 0): "dd95d2171cfb5c101b7468dfdfd42357",
+        (chung_lu_undirected, 2000, 9000, 7): "8b9f573427454deb967092e13037787d",
+        (chung_lu_undirected, 60000, 360000, 0): "50ef76693f83d06af32fae024cdfcd1f",
+        (chung_lu_directed, 50, 120, 0): "a612ff204a255254c8520c65945c90f1",
+        (chung_lu_directed, 2000, 9000, 7): "506bdc88c42a457fa67a0c20a567f03c",
+        (chung_lu_directed, 60000, 360000, 0): "142bdf7020195c035f94114846643dfd",
+        (gnm_random_undirected, 50, 120, 0): "1b4848f1671f8d51d44d295f4c0cc142",
+        (gnm_random_undirected, 2000, 9000, 7): "9c1a92fd2bc79bedc7d3afdd71cc1274",
+        (gnm_random_directed, 50, 120, 0): "7e776094d5255a3a5786890300df8fc4",
+        (gnm_random_directed, 2000, 9000, 7): "5b3c01aa37a068db63ef346baef5bfe1",
+    }
+
+    @pytest.mark.parametrize(
+        ("generator", "n", "m", "seed"), list(PINS), ids=lambda v: getattr(v, "__name__", str(v))
+    )
+    def test_fingerprint_unchanged(self, generator, n, m, seed):
+        graph = generator(n, m, seed=seed)
+        assert graph.fingerprint() == self.PINS[(generator, n, m, seed)]

@@ -343,3 +343,68 @@ class TestLifecycle:
         # Still usable afterwards (registry datasets re-resolve).
         response, = server.serve([Query("PT", "charikar")])
         assert response.ok
+
+
+class TestFaultIsolation:
+    """One raising flight fails its own members and nobody else's."""
+
+    @staticmethod
+    def failing_solver():
+        from repro.engine import temporary_solver
+
+        def explode(graph, **kwargs):
+            raise RuntimeError("solver blew up")
+
+        return temporary_solver(
+            name="explodes", kind="uds", guarantee="heuristic", cost="serial"
+        )(explode)
+
+    def test_other_flights_still_answer(self, graphs):
+        server = make_server(graphs)
+        with self.failing_solver():
+            responses = server.serve([
+                Query("alpha", "pkmc"),
+                Query("alpha", "explodes"),
+                Query("alpha", "charikar"),
+            ])
+        assert [r.status for r in responses] == ["ok", "error", "ok"]
+        failed = responses[1]
+        assert failed.result is None
+        assert failed.reason == "RuntimeError: solver blew up"
+        expected = engine_run("pkmc", graphs["alpha"], ExecutionContext())
+        assert_bit_identical(responses[0].result, expected)
+        assert responses[2].result.density > 0
+        stats = server.stats
+        assert (stats.accepted, stats.completed, stats.errored) == (3, 2, 1)
+        assert server.queue_depth == 0
+
+    def test_coalesced_followers_share_the_failure(self, graphs):
+        server = make_server(graphs)
+        with self.failing_solver():
+            responses = server.serve(
+                [Query("alpha", "explodes")] * 3 + [Query("beta", "pkmc")]
+            )
+        assert [r.status for r in responses] == ["error"] * 3 + ["ok"]
+        assert all(r.coalesced == 3 for r in responses[:3])
+        assert server.stats.errored == 3
+        assert server.stats.coalesced_queries == 0
+
+    def test_accepted_equals_completed_plus_errored(self, graphs):
+        server = make_server(graphs)
+        with self.failing_solver():
+            for wave in (
+                [Query("alpha", "explodes"), Query("beta", "pkc")],
+                [Query("beta", "pkc"), Query("alpha", "local")] * 2,
+                [Query("beta", "explodes")],
+            ):
+                server.serve(wave)
+                stats = server.stats
+                assert stats.accepted == stats.completed + stats.errored
+        assert server.stats.as_dict()["errored"] == 2
+
+    def test_server_keeps_serving_after_a_failure(self, graphs):
+        server = make_server(graphs)
+        with self.failing_solver():
+            server.serve([Query("alpha", "explodes")])
+        response, = server.serve([Query("alpha", "pkmc")])
+        assert response.ok
